@@ -336,14 +336,12 @@ impl StoreBench {
 /// experiment (`BENCH_sim.json`).
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct SimTier {
-    /// Tier label (`hold-smoke-1m`, `hold-10m`, `actor-10m`, `shard-2m`).
+    /// Tier label (`hold-smoke-1m`, `hold-10m`, `actor-10m`).
     pub label: String,
-    /// Engine measured: `calendar` (the current kernel), `baseline` (the
-    /// retained pre-refactor ordered-map kernel), or `sharded-<n>`.
+    /// Queue measured: `calendar` (the kernel's event queue) or, on hold
+    /// tiers only, `baseline` (the ordered-map oracle queue).
     pub engine: String,
-    /// Worker threads (1 for the sequential engines).
-    pub threads: usize,
-    /// Steady pending-event population (hold/actor tiers; 0 for sharded).
+    /// Steady pending-event population.
     pub pending: u64,
     /// Actors in the mesh (0 for the raw hold tiers).
     pub actors: u64,
@@ -354,8 +352,8 @@ pub struct SimTier {
     /// `events / wall_ms` as events per second — the headline throughput.
     pub events_per_sec: f64,
     /// Determinism fingerprint (hex): the pop-stream digest for hold
-    /// tiers, the trace digest for sharded tiers. Equal digests across
-    /// engines/thread counts prove the speedup measured identical work.
+    /// tiers, the delivered count for actor tiers. Equal digests across
+    /// engines prove the speedup measured identical work.
     pub digest: String,
 }
 
@@ -372,8 +370,7 @@ pub struct SimBench {
     /// `/proc` is unavailable).
     pub peak_rss_kib: u64,
     /// Per-tier measurements: hold tiers first (calendar before baseline
-    /// within a tier), then actor tiers, then sharded tiers by ascending
-    /// thread count.
+    /// within a tier), then actor tiers.
     pub tiers: Vec<SimTier>,
 }
 
@@ -653,7 +650,6 @@ mod tests {
         SimTier {
             label: label.to_owned(),
             engine: engine.to_owned(),
-            threads: 1,
             pending: 50_000,
             actors: 0,
             events: 1_000_000,

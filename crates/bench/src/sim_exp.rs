@@ -1,28 +1,22 @@
 //! Experiment SIM: sim-kernel throughput — the calendar-queue hot path
-//! against the pre-refactor ordered-map kernel, and the sharded dispatcher's
-//! thread scaling, behind the committed `BENCH_sim.json`.
+//! against the ordered-map oracle queue, behind the committed
+//! `BENCH_sim.json`.
 //!
-//! Three tier families:
+//! Two tier families:
 //!
-//! * **hold** — the classic hold model run directly on [`EventQueue`]: a
-//!   large steady pending set where every pop is followed by a push at
-//!   `popped + jitter`. This isolates the future-event list, which is where
-//!   the kernel refactor claims its win; both backends must produce the
-//!   identical `(time, seq)` pop stream (asserted via digest) so the
-//!   speedup is measured over byte-identical work.
-//! * **actor** — the same comparison end-to-end through [`ActorSim`]
-//!   dispatch (boxed handlers, FIFO lanes, counters), calendar vs the
-//!   retained baseline queue.
-//! * **shard** — [`ShardedSim`] under compute-heavy handlers on wide
-//!   same-instant batches at 1, 2, and 8 threads; every thread count must
-//!   digest identically (asserted) — the scaling numbers are only
-//!   meaningful because the work is proven to be the same.
+//! * **hold** — the classic hold model run directly on [`EventQueue`] and
+//!   on [`OracleQueue`]: a large steady pending set where every pop is
+//!   followed by a push at `popped + jitter`. This isolates the
+//!   future-event list; both queues must produce the identical
+//!   `(time, seq)` pop stream (asserted via digest) so the speedup is
+//!   measured over byte-identical work.
+//! * **actor** — the kernel end to end through [`ActorSim`] dispatch
+//!   (boxed handlers, FIFO lanes, counters) on the calendar queue.
 
 use std::time::Instant;
 
 use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx};
-use lems_sim::queue::EventQueue;
-use lems_sim::shard::ShardedSim;
+use lems_sim::queue::{EventQueue, EventSeq, OracleQueue};
 use lems_sim::time::{SimDuration, SimTime};
 
 use crate::emit::{SimBench, SimTier, BENCH_SCHEMA_VERSION};
@@ -42,7 +36,7 @@ pub struct HoldTierSpec {
     pub spread: u64,
 }
 
-/// One actor-dispatch tier (calendar vs baseline queue, end to end).
+/// One actor-dispatch tier (the calendar kernel, end to end).
 #[derive(Clone, Copy, Debug)]
 pub struct ActorTierSpec {
     /// Tier label.
@@ -53,19 +47,6 @@ pub struct ActorTierSpec {
     pub in_flight: u64,
     /// Event budget per run.
     pub events: u64,
-}
-
-/// One sharded-dispatch tier.
-#[derive(Clone, Copy, Debug)]
-pub struct ShardTierSpec {
-    /// Tier label.
-    pub label: &'static str,
-    /// Actors sharing each instant.
-    pub actors: usize,
-    /// Event budget per run.
-    pub events: u64,
-    /// Thread counts to measure (each must digest identically).
-    pub threads: &'static [usize],
 }
 
 /// The CI smoke ladder: small enough for the gate job, large enough
@@ -143,26 +124,6 @@ pub fn full_actor_tiers() -> Vec<ActorTierSpec> {
     tiers
 }
 
-/// Smoke sharded tier.
-pub fn smoke_shard_tiers() -> Vec<ShardTierSpec> {
-    vec![ShardTierSpec {
-        label: "shard-smoke-100k",
-        actors: 64,
-        events: 100_000,
-        threads: &[1, 2],
-    }]
-}
-
-/// Full sharded ladder.
-pub fn full_shard_tiers() -> Vec<ShardTierSpec> {
-    vec![ShardTierSpec {
-        label: "shard-2m",
-        actors: 256,
-        events: 2_000_000,
-        threads: &[1, 2, 8],
-    }]
-}
-
 fn ms(start: Instant) -> f64 {
     start.elapsed().as_secs_f64() * 1_000.0
 }
@@ -230,16 +191,41 @@ fn lcg(state: &mut u64) -> u64 {
 
 /// A realistic event footprint: the kernel's own `Ev<M>` (discriminant,
 /// actor ids, a message payload) is this order of magnitude, not a bare
-/// integer. Payload size is where the two backends differ structurally —
+/// integer. Payload size is where the two queues differ structurally —
 /// the ordered map copies payloads through every node shift and split,
 /// the calendar writes each into a pool slot exactly once.
 #[derive(Clone, Copy)]
 struct HoldEvent([u64; 8]);
 
+/// The two operations the hold model performs, implemented by both queues
+/// so one monomorphized loop measures either.
+trait HoldQueue {
+    fn push(&mut self, at: SimTime, ev: HoldEvent);
+    fn pop_with_seq(&mut self) -> Option<(SimTime, EventSeq, HoldEvent)>;
+}
+
+impl HoldQueue for EventQueue<HoldEvent> {
+    fn push(&mut self, at: SimTime, ev: HoldEvent) {
+        EventQueue::push(self, at, ev);
+    }
+    fn pop_with_seq(&mut self) -> Option<(SimTime, EventSeq, HoldEvent)> {
+        EventQueue::pop_with_seq(self)
+    }
+}
+
+impl HoldQueue for OracleQueue<HoldEvent> {
+    fn push(&mut self, at: SimTime, ev: HoldEvent) {
+        OracleQueue::push(self, at, ev);
+    }
+    fn pop_with_seq(&mut self) -> Option<(SimTime, EventSeq, HoldEvent)> {
+        OracleQueue::pop_with_seq(self)
+    }
+}
+
 /// One hold run: fills `pending` events, then cycles pop→push `events`
 /// times. Returns the wall time and an FNV digest of the complete
 /// `(ticks, seq)` pop stream.
-fn hold_run(mut q: EventQueue<HoldEvent>, spec: &HoldTierSpec, seed: u64) -> (f64, u64) {
+fn hold_run(mut q: impl HoldQueue, spec: &HoldTierSpec, seed: u64) -> (f64, u64) {
     let mut rng = seed;
     for i in 0..spec.pending as u64 {
         q.push(
@@ -267,12 +253,11 @@ fn hold_run(mut q: EventQueue<HoldEvent>, spec: &HoldTierSpec, seed: u64) -> (f6
 /// queue. Returns wall time, pop-stream digest, and the process's peak
 /// RSS so far in KiB.
 fn hold_measure_in_process(spec: &HoldTierSpec, engine: &str, seed: u64) -> (f64, u64, u64) {
-    let q = if engine == "calendar" {
-        EventQueue::with_capacity(spec.pending)
+    let (wall, digest) = if engine == "calendar" {
+        hold_run(EventQueue::with_capacity(spec.pending), spec, seed)
     } else {
-        EventQueue::baseline()
+        hold_run(OracleQueue::new(), spec, seed)
     };
-    let (wall, digest) = hold_run(q, spec, seed);
     (wall, digest, peak_rss_kib())
 }
 
@@ -349,8 +334,8 @@ fn hold_measure_isolated(spec: &HoldTierSpec, engine: &str, seed: u64) -> (f64, 
     (wall, digest, rss)
 }
 
-/// Runs one hold tier on both backends (`calendar` first, then
-/// `baseline`), asserting the pop streams are byte-identical. `measure`
+/// Runs one hold tier on both queues (`calendar` first, then the oracle
+/// as `baseline`), asserting the pop streams are byte-identical. `measure`
 /// supplies each repetition's wall time, digest, and peak RSS; the tier
 /// keeps the minimum wall time, and the largest RSS any measurement saw is
 /// returned alongside the tiers.
@@ -380,7 +365,6 @@ fn hold_tier_with(
         out.push(SimTier {
             label: spec.label.to_owned(),
             engine: engine.to_owned(),
-            threads: 1,
             pending: spec.pending as u64,
             actors: 0,
             events: spec.events,
@@ -454,48 +438,32 @@ fn actor_run(sim: &mut ActorSim<u64>, spec: &ActorTierSpec) -> (f64, u64) {
     (wall, sim.counters().delivered.get())
 }
 
-/// Runs one actor tier end to end on both kernels, asserting equal
-/// delivery counts (the workloads are identical by construction).
-pub fn run_actor_tier(spec: &ActorTierSpec, seed: u64) -> Vec<SimTier> {
-    let mut out = Vec::new();
-    let mut delivered_seen = Vec::new();
-    for engine in ["calendar", "baseline"] {
-        let mut best: Option<(f64, u64)> = None;
-        for _ in 0..reps_for(spec.events) {
-            let mut sim = if engine == "calendar" {
-                ActorSim::new(seed)
-            } else {
-                ActorSim::new_with_baseline_queue(seed)
-            };
-            let (wall, delivered) = actor_run(&mut sim, spec);
-            best = Some(match best {
-                None => (wall, delivered),
-                Some((w, d)) => {
-                    assert_eq!(d, delivered, "actor runs are deterministic");
-                    (w.min(wall), d)
-                }
-            });
-        }
-        let (wall_ms, delivered) = best.expect("at least one repetition runs");
-        delivered_seen.push(delivered);
-        out.push(SimTier {
-            label: spec.label.to_owned(),
-            engine: engine.to_owned(),
-            threads: 1,
-            pending: spec.in_flight,
-            actors: spec.actors as u64,
-            events: delivered,
-            wall_ms,
-            events_per_sec: per_sec(delivered, wall_ms),
-            digest: format!("{delivered:#018x}"),
+/// Runs one actor tier end to end on the calendar kernel, keeping the
+/// minimum wall time over the repetitions and asserting they processed
+/// identical workloads.
+pub fn run_actor_tier(spec: &ActorTierSpec, seed: u64) -> SimTier {
+    let mut best: Option<(f64, u64)> = None;
+    for _ in 0..reps_for(spec.events) {
+        let (wall, delivered) = actor_run(&mut ActorSim::new(seed), spec);
+        best = Some(match best {
+            None => (wall, delivered),
+            Some((w, d)) => {
+                assert_eq!(d, delivered, "actor runs are deterministic");
+                (w.min(wall), d)
+            }
         });
     }
-    assert_eq!(
-        delivered_seen[0], delivered_seen[1],
-        "{}: both kernels must process identical workloads",
-        spec.label
-    );
-    out
+    let (wall_ms, delivered) = best.expect("at least one repetition runs");
+    SimTier {
+        label: spec.label.to_owned(),
+        engine: "calendar".to_owned(),
+        pending: spec.in_flight,
+        actors: spec.actors as u64,
+        events: delivered,
+        wall_ms,
+        events_per_sec: per_sec(delivered, wall_ms),
+        digest: format!("{delivered:#018x}"),
+    }
 }
 
 /// One paired profiling-overhead measurement: the same actor tier timed
@@ -573,116 +541,6 @@ pub fn measure_prof_overhead(spec: &ActorTierSpec, seed: u64, reps: u32) -> Prof
     }
 }
 
-// ---------------------------------------------------------------------------
-// Sharded dispatch: thread scaling on compute-heavy wide instants.
-// ---------------------------------------------------------------------------
-
-/// ~a microsecond of real per-event work — the regime the sharded engine
-/// exists for, where handler compute dwarfs queue bookkeeping. An FNV
-/// chain the optimizer cannot elide because the result routes the next
-/// hop.
-fn spin(mut x: u64) -> u64 {
-    for _ in 0..512 {
-        x ^= x >> 33;
-        x = x.wrapping_mul(0x1000_0000_01b3);
-    }
-    x
-}
-
-/// Compute-heavy forwarder on a grid-quantized delay lattice, so every
-/// instant carries a wide batch for the sharded engine to fan out.
-struct Cruncher {
-    n: usize,
-    acc: u64,
-}
-
-impl Actor for Cruncher {
-    type Msg = u64;
-    fn on_start(&mut self, ctx: &mut Ctx<'_, u64>) {
-        let me = ctx.me().0 as u64;
-        for k in 1..=8u64 {
-            ctx.send(
-                ActorId(((me + k) as usize) % self.n),
-                me.wrapping_mul(k),
-                SimDuration::from_ticks(250_000 * (1 + (me + k) % 4)),
-            );
-        }
-    }
-    fn on_message(&mut self, _from: ActorId, msg: u64, ctx: &mut Ctx<'_, u64>) {
-        let hashed = spin(msg);
-        self.acc ^= hashed;
-        let me = ctx.me().0 as u64;
-        let to = ActorId(((me + 1 + hashed % 11) as usize) % self.n);
-        ctx.send(
-            to,
-            hashed,
-            SimDuration::from_ticks(250_000 * (1 + hashed % 4)),
-        );
-    }
-}
-
-fn shard_run(spec: &ShardTierSpec, seed: u64, threads: usize) -> (f64, u64, u64) {
-    let mut sim: ShardedSim<u64> = ShardedSim::new(seed, threads);
-    sim.enable_trace(1 << 16);
-    for _ in 0..spec.actors {
-        sim.add_actor(Cruncher {
-            n: spec.actors,
-            acc: 0,
-        });
-    }
-    let t0 = Instant::now();
-    let quiesced = sim.run_to_quiescence_bounded(spec.events);
-    let wall = ms(t0);
-    assert!(
-        !quiesced,
-        "forwarding traffic must keep the budget saturated"
-    );
-    let delivered = sim.counters().delivered.get();
-    let digest = sim.trace().digest();
-    (wall, delivered, digest)
-}
-
-/// Runs one sharded tier at every configured thread count, asserting the
-/// trace digests are identical across counts.
-pub fn run_shard_tier(spec: &ShardTierSpec, seed: u64) -> Vec<SimTier> {
-    let mut out = Vec::new();
-    let mut pinned: Option<u64> = None;
-    for &threads in spec.threads {
-        let mut best: Option<(f64, u64, u64)> = None;
-        for _ in 0..reps_for(spec.events) {
-            let (wall, delivered, digest) = shard_run(spec, seed, threads);
-            best = Some(match best {
-                None => (wall, delivered, digest),
-                Some((w, d, g)) => {
-                    assert_eq!(g, digest, "sharded runs are deterministic");
-                    (w.min(wall), d, g)
-                }
-            });
-        }
-        let (wall_ms, delivered, digest) = best.expect("at least one repetition runs");
-        match pinned {
-            None => pinned = Some(digest),
-            Some(p) => assert_eq!(
-                p, digest,
-                "{}: {threads} thread(s) diverged from the 1-thread digest",
-                spec.label
-            ),
-        }
-        out.push(SimTier {
-            label: spec.label.to_owned(),
-            engine: format!("sharded-{threads}"),
-            threads,
-            pending: 0,
-            actors: spec.actors as u64,
-            events: delivered,
-            wall_ms,
-            events_per_sec: per_sec(delivered, wall_ms),
-            digest: format!("{digest:#018x}"),
-        });
-    }
-    out
-}
-
 /// Runs the given ladders and assembles the `BENCH_sim.json` document.
 ///
 /// With `isolate_hold`, every hold repetition runs in a fresh child
@@ -692,7 +550,6 @@ pub fn run_shard_tier(spec: &ShardTierSpec, seed: u64) -> Vec<SimTier> {
 pub fn run_suite(
     hold: &[HoldTierSpec],
     actor: &[ActorTierSpec],
-    shard: &[ShardTierSpec],
     seed: u64,
     isolate_hold: bool,
 ) -> SimBench {
@@ -708,10 +565,7 @@ pub fn run_suite(
         tiers.extend(t);
     }
     for spec in actor {
-        tiers.extend(run_actor_tier(spec, seed));
-    }
-    for spec in shard {
-        tiers.extend(run_shard_tier(spec, seed));
+        tiers.push(run_actor_tier(spec, seed));
     }
     SimBench {
         schema_version: BENCH_SCHEMA_VERSION,
@@ -744,17 +598,17 @@ mod tests {
     }
 
     #[test]
-    fn actor_tier_processes_identical_workloads() {
+    fn actor_tier_saturates_its_event_budget() {
         let spec = ActorTierSpec {
             label: "test-actor",
             actors: 8,
             in_flight: 64,
             events: 10_000,
         };
-        let tiers = run_actor_tier(&spec, 7);
-        assert_eq!(tiers.len(), 2);
-        assert_eq!(tiers[0].events, tiers[1].events);
-        assert!(tiers[0].events >= 10_000);
+        let tier = run_actor_tier(&spec, 7);
+        assert_eq!(tier.engine, "calendar");
+        assert!(tier.events >= 10_000);
+        assert!(tier.events_per_sec > 0.0);
     }
 
     #[test]
@@ -769,21 +623,6 @@ mod tests {
         assert!(o.off_ms > 0.0 && o.on_ms > 0.0);
         assert!(o.dispatches >= 10_000, "profiler saw the whole run");
         assert!(o.overhead_frac.is_finite());
-    }
-
-    #[test]
-    fn shard_tier_digests_are_thread_invariant() {
-        let spec = ShardTierSpec {
-            label: "test-shard",
-            actors: 16,
-            events: 5_000,
-            threads: &[1, 2, 8],
-        };
-        let tiers = run_shard_tier(&spec, 7);
-        assert_eq!(tiers.len(), 3);
-        assert_eq!(tiers[0].digest, tiers[1].digest);
-        assert_eq!(tiers[1].digest, tiers[2].digest);
-        assert_eq!(tiers[2].engine, "sharded-8");
     }
 
     #[test]

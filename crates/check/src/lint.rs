@@ -1836,7 +1836,7 @@ mod tests {
         // sim-driven crate still fires.
         let src = "pub fn tick() { let _ = std::time::Instant::now(); }\n";
         assert!(scan_source("crates/sim/src/prof.rs", src).is_empty());
-        let vs = scan_source("crates/sim/src/kernel.rs", src);
+        let vs = scan_source("crates/sim/src/actor.rs", src);
         assert_eq!(vs.len(), 1);
         assert_eq!(vs[0].rule, RULE_NO_WALL_CLOCK);
     }

@@ -63,7 +63,7 @@ pub struct RecoverySummary {
 /// One parsed kernel-profiler sample line.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ProfileLine {
-    /// Profiler scope: `dispatch`, `pool`, `queue`, or `shard`.
+    /// Profiler scope: `dispatch`, `pool`, or `queue`.
     pub scope: String,
     /// Sample name within the scope.
     pub name: String,
@@ -423,14 +423,10 @@ impl Dump {
                 c.name, c.count, c.ticks, share
             );
         }
-        for scope in ["pool", "shard"] {
-            let rows: Vec<&ProfileLine> =
-                self.profile.iter().filter(|p| p.scope == scope).collect();
-            if rows.is_empty() {
-                continue;
-            }
-            let _ = writeln!(out, "{scope}");
-            for r in rows {
+        let pool: Vec<&ProfileLine> = self.profile.iter().filter(|p| p.scope == "pool").collect();
+        if !pool.is_empty() {
+            let _ = writeln!(out, "pool");
+            for r in pool {
                 let _ = writeln!(out, "  {} = {}", r.name, r.count);
             }
         }

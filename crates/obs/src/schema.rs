@@ -121,7 +121,7 @@ pub enum ObsLine {
     /// after the store-metrics block. Present only when the run enabled
     /// profiling; values are pure functions of sim time and counters.
     Profile {
-        /// Profiler scope: `dispatch`, `pool`, `queue`, or `shard`.
+        /// Profiler scope: `dispatch`, `pool`, or `queue`.
         scope: String,
         /// Sample name within the scope (e.g. `server/deliver`).
         name: String,

@@ -6,20 +6,21 @@
 //! crate provides that simulator as a reusable library:
 //!
 //! * [`time`] — integer simulated time in paper "time units";
-//! * [`queue`] — the future-event list with deterministic FIFO tie-breaks,
-//!   backed by an amortized-O(1) calendar queue (with the previous ordered
-//!   map retained as a differential oracle);
+//! * [`queue`] — the future-event list with deterministic FIFO tie-breaks:
+//!   an amortized-O(1) calendar queue, plus the ordered-map oracle that
+//!   tests and benchmarks compare it against;
 //! * [`pool`] — the generation-checked payload slab behind the queue;
-//! * [`kernel`] — a minimal closure-driven event kernel;
-//! * [`actor`] — message-passing actors with timers, matching the delivery
-//!   model assumed by the paper (finite, in-sequence, error-free links);
+//! * [`actor`] — the simulation engine: message-passing actors with timers,
+//!   matching the delivery model assumed by the paper (finite, in-sequence,
+//!   error-free links);
 //! * [`failure`] — planned and random crash/repair injection;
+//! * [`linkfault`] — link-level outages, partitions, loss, duplication and
+//!   delay jitter on actor-to-actor sends;
+//! * [`session`] — ack/timeout/retransmit policy with capped backoff;
 //! * [`sched`] — pluggable schedulers: FIFO replay, seeded schedule
 //!   fuzzing, and exhaustive small-scope interleaving exploration;
-//! * [`shard`] — parallel actor execution (frozen batch → ordered commit)
-//!   that is byte-identical to the sequential engine at any thread count;
 //! * [`prof`] — a deterministic kernel profiler (dispatch attribution,
-//!   queue health, shard batch stats) that changes no output byte;
+//!   queue health) that changes no output byte;
 //! * [`rng`] — seeded, forkable randomness so runs reproduce exactly;
 //! * [`stats`] — counters, time-weighted gauges, summaries, histograms;
 //! * [`trace`] — bounded in-memory event tracing;
@@ -28,8 +29,11 @@
 //!   log-scale latency histograms, mergeable across actors and threads.
 //!
 //! Everything is deterministic by construction: a run is a pure function of
-//! its seed and configuration. The default engines are single-threaded; the
-//! [`shard`] engine adds worker threads without changing any output byte.
+//! its seed and configuration. There is one engine, [`ActorSim`], and it is
+//! single-threaded; independent seeds and scenarios are what run side by
+//! side.
+//!
+//! [`ActorSim`]: actor::ActorSim
 //!
 //! # Examples
 //!
@@ -58,7 +62,6 @@
 
 pub mod actor;
 pub mod failure;
-pub mod kernel;
 pub mod linkfault;
 pub mod metrics;
 pub mod pool;
@@ -67,7 +70,6 @@ pub mod queue;
 pub mod rng;
 pub mod sched;
 pub mod session;
-pub mod shard;
 pub mod span;
 pub mod stats;
 pub mod time;
@@ -85,7 +87,6 @@ pub mod prelude {
         Scheduler,
     };
     pub use crate::session::RetryPolicy;
-    pub use crate::shard::ShardedSim;
     pub use crate::span::{SpanEvent, SpanId, SpanLog, SpanStage};
     pub use crate::stats::{Counter, Histogram, LogHistogram, Summary, TimeWeighted};
     pub use crate::time::{SimDuration, SimTime};

@@ -1,29 +1,25 @@
-//! A deterministic kernel profiler: dispatch attribution, queue health,
-//! and shard batch statistics — zero-cost when off.
+//! A deterministic kernel profiler: dispatch attribution and queue
+//! health — zero-cost when off.
 //!
 //! The profiler answers the sizing questions of the paper's §3–§4 (which
 //! actor kinds consume the simulated capacity, how deep does the event
 //! queue run) for *our* kernel: per-(actor-kind, event-kind) dispatch
 //! counts with sim-time busy attribution, periodic event-queue depth
 //! samples, calendar-queue structure snapshots (bucket ring, front,
-//! overflow, resizes), event-pool hit/miss/grow counters, and sharded-
-//! engine batch statistics.
+//! overflow, resizes), and event-pool hit/miss/grow counters.
 //!
 //! # Determinism
 //!
 //! Everything exported through [`Prof::samples`] is a pure function of sim
 //! time and event counts: enabling the profiler changes **no** output byte
 //! of a run — trace digests, span logs, and metrics are identical with
-//! profiling on or off, on both the sequential and sharded engines
-//! (pinned by `crates/sim/tests/prof_digest.rs`).
+//! profiling on or off (pinned by `crates/sim/tests/prof_digest.rs`).
 //!
 //! *Busy attribution* charges each dispatched event the sim-time advance
 //! it caused: when the clock moves from `t0` to `t1` to fire an event,
 //! that event's (actor-kind, event-kind) cell absorbs `t1 - t0` ticks.
 //! Same-instant followers absorb zero. Summed over a run this decomposes
-//! total simulated time across the actor kinds that consumed it, and the
-//! decomposition is identical on both engines because the sharded commit
-//! replays the sequential dispatch order exactly.
+//! total simulated time across the actor kinds that consumed it.
 //!
 //! Wall-clock readings live in a separate [`Wall`] side channel lapped
 //! around the run loops — two `Instant` reads per run call, never per
@@ -38,9 +34,8 @@ use crate::time::SimTime;
 
 /// The event classes the profiler attributes dispatches to.
 ///
-/// These mirror the kernel's dispatch dispositions (the arms of the
-/// sequential engine's `step` and the sharded engine's commit): every
-/// processed event lands in exactly one class.
+/// These mirror the kernel's dispatch dispositions (the arms of
+/// `ActorSim::step`): every processed event lands in exactly one class.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 pub enum ProfEvent {
     /// A message reached a live actor's `on_message`.
@@ -114,7 +109,7 @@ struct Cell {
 
 /// One deterministic profiler sample, ready for export.
 ///
-/// Samples come in four scopes:
+/// Samples come in three scopes:
 ///
 /// * `"dispatch"` — one per (actor-kind, event-kind) cell; `name` is
 ///   `"{kind}/{event}"`, `count` the dispatch count, `ticks` the sim-time
@@ -125,9 +120,6 @@ struct Cell {
 ///   `in-buckets`, `overflow`, `buckets`, `resizes`) and the depth
 ///   timeline (`name == "depth-sample"`, one per [`SAMPLE_EVERY`]
 ///   dispatches, `at` carrying the sample instant).
-/// * `"shard"` — batch statistics, present only on the sharded engine
-///   (`batches`, `batch-events`, `batch-max`, `groups`, `groups-max`,
-///   `offloaded`).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ProfSample {
     /// Which subsystem the sample describes.
@@ -220,12 +212,6 @@ pub struct Prof {
     last_now: SimTime,
     dispatches: u64,
     queue_samples: Vec<(SimTime, u64)>,
-    batches: u64,
-    batch_events: u64,
-    batch_max: u64,
-    groups: u64,
-    groups_max: u64,
-    offloaded: u64,
     wall: Wall,
 }
 
@@ -287,22 +273,6 @@ impl Prof {
         }
     }
 
-    /// Records one sharded batch: its event count, group (task) count, and
-    /// whether evaluation was offloaded to the worker pool.
-    pub(crate) fn batch(&mut self, events: u64, groups: u64, offloaded: bool) {
-        if !self.enabled {
-            return;
-        }
-        self.batches += 1;
-        self.batch_events += events;
-        self.batch_max = self.batch_max.max(events);
-        self.groups += groups;
-        self.groups_max = self.groups_max.max(groups);
-        if offloaded {
-            self.offloaded += 1;
-        }
-    }
-
     pub(crate) fn wall_start(&mut self) {
         if self.enabled {
             self.wall.start();
@@ -329,9 +299,8 @@ impl Prof {
 
     /// Renders the profiler state as a deterministic, ordered sample list:
     /// dispatch cells (sorted by kind then event), pool counters, queue
-    /// aggregates, the depth timeline, and — when the sharded engine ran —
-    /// batch statistics. `queue` supplies the owning engine's current
-    /// queue structure snapshot.
+    /// aggregates, and the depth timeline. `queue` supplies the owning
+    /// engine's current queue structure snapshot.
     ///
     /// Empty when profiling is disabled.
     pub fn samples(&self, queue: QueueStats) -> Vec<ProfSample> {
@@ -395,21 +364,6 @@ impl Prof {
                 ticks: 0,
             });
         }
-        if self.batches > 0 {
-            let shard = |name: &str, count: u64| ProfSample {
-                scope: "shard",
-                name: name.to_owned(),
-                at: SimTime::ZERO,
-                count,
-                ticks: 0,
-            };
-            out.push(shard("batches", self.batches));
-            out.push(shard("batch-events", self.batch_events));
-            out.push(shard("batch-max", self.batch_max));
-            out.push(shard("groups", self.groups));
-            out.push(shard("groups-max", self.groups_max));
-            out.push(shard("offloaded", self.offloaded));
-        }
         out
     }
 }
@@ -423,7 +377,6 @@ mod tests {
         let mut p = Prof::default();
         p.register_kind("a");
         p.dispatch(0, ProfEvent::Deliver, SimTime::from_ticks(5), 1);
-        p.batch(3, 2, true);
         assert_eq!(p.dispatches(), 0);
         assert!(p.samples(QueueStats::default()).is_empty());
         assert_eq!(p.wall_nanos(), 0);
@@ -480,31 +433,6 @@ mod tests {
             .collect();
         assert_eq!(depth_samples.len(), 2);
         assert_eq!(depth_samples[0].at, SimTime::from_ticks(SAMPLE_EVERY - 1));
-    }
-
-    #[test]
-    fn shard_stats_appear_only_after_batches() {
-        let mut p = Prof::default();
-        p.enable();
-        assert!(!p
-            .samples(QueueStats::default())
-            .iter()
-            .any(|s| s.scope == "shard"));
-        p.batch(8, 4, true);
-        p.batch(2, 2, false);
-        let samples = p.samples(QueueStats::default());
-        let shard = |name: &str| {
-            samples
-                .iter()
-                .find(|s| s.scope == "shard" && s.name == name)
-                .expect("shard stat present")
-                .count
-        };
-        assert_eq!(shard("batches"), 2);
-        assert_eq!(shard("batch-events"), 10);
-        assert_eq!(shard("batch-max"), 8);
-        assert_eq!(shard("groups-max"), 4);
-        assert_eq!(shard("offloaded"), 1);
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl SimRng {
     }
 
     /// Derives an independent stream from a numeric salt — the indexed
-    /// counterpart of [`SimRng::fork`], for per-actor or per-shard streams
+    /// counterpart of [`SimRng::fork`], for per-actor or per-attempt streams
     /// where the discriminant is a dense integer rather than a label.
     ///
     /// Like `fork`, this does not consume randomness from `self`: the

@@ -1,13 +1,11 @@
 //! Pins the profiler's zero-perturbation contract: enabling profiling
 //! changes **no** output byte of a run — trace digest, counters, and
-//! final clock are identical with profiling on or off, on both the
-//! sequential and sharded engines, at any thread count.
+//! final clock are identical with profiling on or off.
 //!
-//! (The PR 5 on/off pin covers spans on the sequential path only; this
-//! battery covers the kernel profiler on both engines.)
+//! (The span on/off pin covers message-lifecycle spans; this battery
+//! covers the kernel profiler.)
 
 use lems_sim::actor::{Actor, ActorId, ActorSim, Ctx, TimerId};
-use lems_sim::shard::ShardedSim;
 use lems_sim::time::{SimDuration, SimTime};
 
 fn unit(u: f64) -> SimDuration {
@@ -63,75 +61,22 @@ struct Fingerprint {
     now: SimTime,
 }
 
-fn drive<R>(sim: &mut R) -> bool
-where
-    R: Driver,
-{
+fn drive(sim: &mut ActorSim<u64>) -> bool {
     sim.schedule_crash(ActorId(2), SimTime::from_units(1.25));
     sim.schedule_recover(ActorId(2), SimTime::from_units(4.25));
     sim.inject(ActorId(999), 0, unit(0.25));
-    sim.quiesce(100_000)
+    sim.run_to_quiescence_bounded(100_000)
 }
 
-/// The few engine entry points this battery needs, so one driver covers
-/// both engines.
-trait Driver {
-    fn schedule_crash(&mut self, actor: ActorId, at: SimTime);
-    fn schedule_recover(&mut self, actor: ActorId, at: SimTime);
-    fn inject(&mut self, to: ActorId, msg: u64, delay: SimDuration);
-    fn quiesce(&mut self, max: u64) -> bool;
-    fn fingerprint(&self) -> Fingerprint;
-}
-
-impl Driver for ActorSim<u64> {
-    fn schedule_crash(&mut self, actor: ActorId, at: SimTime) {
-        ActorSim::schedule_crash(self, actor, at);
-    }
-    fn schedule_recover(&mut self, actor: ActorId, at: SimTime) {
-        ActorSim::schedule_recover(self, actor, at);
-    }
-    fn inject(&mut self, to: ActorId, msg: u64, delay: SimDuration) {
-        ActorSim::inject(self, to, msg, delay);
-    }
-    fn quiesce(&mut self, max: u64) -> bool {
-        self.run_to_quiescence_bounded(max)
-    }
-    fn fingerprint(&self) -> Fingerprint {
-        Fingerprint {
-            digest: self.trace().digest(),
-            delivered: self.counters().delivered.get(),
-            dropped_down: self.counters().dropped_down.get(),
-            dropped_unknown: self.counters().dropped_unknown.get(),
-            timers_fired: self.counters().timers_fired.get(),
-            timers_suppressed: self.counters().timers_suppressed.get(),
-            now: self.now(),
-        }
-    }
-}
-
-impl Driver for ShardedSim<u64> {
-    fn schedule_crash(&mut self, actor: ActorId, at: SimTime) {
-        ShardedSim::schedule_crash(self, actor, at);
-    }
-    fn schedule_recover(&mut self, actor: ActorId, at: SimTime) {
-        ShardedSim::schedule_recover(self, actor, at);
-    }
-    fn inject(&mut self, to: ActorId, msg: u64, delay: SimDuration) {
-        ShardedSim::inject(self, to, msg, delay);
-    }
-    fn quiesce(&mut self, max: u64) -> bool {
-        self.run_to_quiescence_bounded(max)
-    }
-    fn fingerprint(&self) -> Fingerprint {
-        Fingerprint {
-            digest: self.trace().digest(),
-            delivered: self.counters().delivered.get(),
-            dropped_down: self.counters().dropped_down.get(),
-            dropped_unknown: self.counters().dropped_unknown.get(),
-            timers_fired: self.counters().timers_fired.get(),
-            timers_suppressed: self.counters().timers_suppressed.get(),
-            now: self.now(),
-        }
+fn fingerprint(sim: &ActorSim<u64>) -> Fingerprint {
+    Fingerprint {
+        digest: sim.trace().digest(),
+        delivered: sim.counters().delivered.get(),
+        dropped_down: sim.counters().dropped_down.get(),
+        dropped_unknown: sim.counters().dropped_unknown.get(),
+        timers_fired: sim.counters().timers_fired.get(),
+        timers_suppressed: sim.counters().timers_suppressed.get(),
+        now: sim.now(),
     }
 }
 
@@ -161,20 +106,7 @@ fn seq_run(prof: bool) -> (Fingerprint, ActorSim<u64>) {
         sim.enable_prof();
     }
     assert!(drive(&mut sim), "sequential run must quiesce");
-    (sim.fingerprint(), sim)
-}
-
-fn shard_run(prof: bool, threads: usize) -> (Fingerprint, ShardedSim<u64>) {
-    let mut sim = ShardedSim::new(SEED, threads);
-    sim.enable_trace(usize::MAX);
-    for _ in 0..N {
-        sim.add_actor(Ring { n: N, doomed: None });
-    }
-    if prof {
-        sim.enable_prof();
-    }
-    assert!(drive(&mut sim), "sharded run must quiesce");
-    (sim.fingerprint(), sim)
+    (fingerprint(&sim), sim)
 }
 
 #[test]
@@ -220,43 +152,4 @@ fn profiling_is_invisible_on_the_sequential_engine() {
         .map(|s| s.ticks)
         .sum();
     assert_eq!(busy, off.now.as_ticks());
-}
-
-#[test]
-fn profiling_is_invisible_on_the_sharded_engine() {
-    let (seq_off, _) = seq_run(false);
-    for threads in [1, 4] {
-        let (off, _) = shard_run(false, threads);
-        let (on, sim) = shard_run(true, threads);
-        assert_same(&off, &on, &format!("sharded({threads}) prof on vs off"));
-        assert_same(
-            &seq_off,
-            &on,
-            &format!("sharded({threads}, prof) vs sequential(no prof)"),
-        );
-        assert!(sim.prof().dispatches() > 0);
-        assert!(
-            sim.profile_samples()
-                .iter()
-                .any(|s| s.scope == "shard" && s.name == "batches" && s.count > 0),
-            "sharded engine must report batch stats"
-        );
-    }
-}
-
-#[test]
-fn dispatch_attribution_is_engine_invariant() {
-    // Queue-depth samples may differ between engines (the sharded freeze
-    // pops a whole instant before committing), but dispatch cells — the
-    // counts and the sim-time busy decomposition — must not.
-    let (_, seq) = seq_run(true);
-    let (_, shard) = shard_run(true, 4);
-    let cells = |samples: Vec<lems_sim::prof::ProfSample>| {
-        samples
-            .into_iter()
-            .filter(|s| s.scope == "dispatch")
-            .map(|s| (s.name, s.count, s.ticks))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(cells(seq.profile_samples()), cells(shard.profile_samples()));
 }

@@ -1,11 +1,11 @@
-//! Differential test battery: the calendar-queue backend against the
-//! baseline ordered-map oracle.
+//! Differential test battery: the calendar queue against the ordered-map
+//! oracle.
 //!
-//! [`EventQueue::baseline`] is the pre-calendar `BTreeMap<(time, seq), E>`
-//! implementation, kept in-tree precisely so this suite can drive both
-//! backends through identical command sequences and demand identical
-//! observable behaviour at every step: pop order, peek, ready-set contents,
-//! targeted removal, lengths, and final drain.
+//! [`OracleQueue`] is a plain `BTreeMap<(time, seq), E>` future-event
+//! list, kept in-tree precisely so this suite can drive both queues
+//! through identical command sequences and demand identical observable
+//! behaviour at every step: pop order, peek, ready-set contents, targeted
+//! removal, lengths, and final drain.
 //!
 //! The command generator is weighted to hit the calendar queue's structural
 //! edges:
@@ -17,7 +17,7 @@
 //! * interleaved pops/removals/clears — front-cursor maintenance, ring
 //!   growth and shrink mid-sequence.
 
-use lems_sim::queue::{EventQueue, EventSeq};
+use lems_sim::queue::{EventQueue, EventSeq, OracleQueue};
 use lems_sim::time::SimTime;
 use proptest::prelude::*;
 
@@ -25,12 +25,12 @@ use proptest::prelude::*;
 enum Cmd {
     /// Schedule the next payload at this tick.
     Push(u64),
-    /// Pop the earliest event; both backends must agree on time and payload.
+    /// Pop the earliest event; both queues must agree on time and payload.
     Pop,
     /// Pop with the sequence number exposed.
     PopWithSeq,
     /// Remove a previously pushed (time, seq) entry, selected by index into
-    /// the push history (possibly already popped/removed — both backends
+    /// the push history (possibly already popped/removed — both queues
     /// must then agree it is gone).
     Remove(usize),
     /// Snapshot the full same-instant ready set.
@@ -68,13 +68,11 @@ fn decode(op: u32, raw: u64, idx: usize) -> Cmd {
     }
 }
 
-/// Runs one command sequence through both backends, asserting equal
+/// Runs one command sequence through both queues, asserting equal
 /// observables after every command, then drains both to empty.
 fn run_differential(cmds: &[Cmd]) {
     let mut cal: EventQueue<u64> = EventQueue::new();
-    let mut base: EventQueue<u64> = EventQueue::baseline();
-    assert!(!cal.is_baseline());
-    assert!(base.is_baseline());
+    let mut base: OracleQueue<u64> = OracleQueue::new();
     let mut payload: u64 = 0;
     let mut history: Vec<(SimTime, EventSeq)> = Vec::new();
 
@@ -134,9 +132,9 @@ fn run_differential(cmds: &[Cmd]) {
 
 proptest! {
     /// Random command sequences: every observable identical on both
-    /// backends, step by step.
+    /// queues, step by step.
     #[test]
-    fn calendar_matches_baseline_oracle(
+    fn calendar_matches_oracle(
         raw in proptest::collection::vec((0u32..16, 0u64..=u64::MAX, 0usize..1_000_000), 1..400),
     ) {
         let cmds: Vec<Cmd> = raw.into_iter().map(|(op, r, i)| decode(op, r, i)).collect();

@@ -112,14 +112,19 @@ impl SyntaxResolver {
     }
 
     /// Resolves `name` one step, per §3.1.2b.
+    ///
+    /// Authority is tested before the region: the §3.1.1 assignment may
+    /// place a user's authority server outside their home region, and that
+    /// server must deposit locally rather than forward the message back to
+    /// the home region (which would route it straight back here).
     pub fn resolve(&self, name: &MailName) -> Resolution {
         let Some(target_region) = self.view.region_of_name(name.region()) else {
             return Resolution::UnknownRegion;
         };
+        if self.view.is_authority_for(name) {
+            return Resolution::LocalAuthority;
+        }
         if target_region == self.region {
-            if self.view.is_authority_for(name) {
-                return Resolution::LocalAuthority;
-            }
             match self.region_index.get(name) {
                 Some(list) => Resolution::RegionalAuthority(list.clone()),
                 None => Resolution::UnknownUser,
@@ -219,6 +224,53 @@ mod tests {
         let r = resolver();
         assert_eq!(r.resolve(&name("mars.h1.zed")), Resolution::UnknownRegion);
         assert_eq!(r.resolve(&name("east.h1.nobody")), Resolution::UnknownUser);
+    }
+
+    #[test]
+    fn authority_outside_the_home_region_resolves_locally() {
+        // Erin is homed in `west` but assigned to server 0 in `east`.
+        let mut dir = Directory::new();
+        dir.map_region("east", RegionId(0));
+        dir.map_region("west", RegionId(1));
+        dir.register(
+            name("west.h5.erin"),
+            NodeId(15),
+            AuthorityList::new(vec![NodeId(0)]),
+        )
+        .unwrap();
+        let views = dir.partition(&[NodeId(0), NodeId(5)]);
+        let mut region_servers = BTreeMap::new();
+        region_servers.insert(RegionId(0), vec![NodeId(0)]);
+        region_servers.insert(RegionId(1), vec![NodeId(5)]);
+        let west_index: BTreeMap<MailName, AuthorityList> = dir
+            .iter()
+            .map(|rec| (rec.name.clone(), rec.authorities.clone()))
+            .collect();
+
+        let east = SyntaxResolver::new(
+            NodeId(0),
+            RegionId(0),
+            views[&NodeId(0)].clone(),
+            BTreeMap::new(),
+            region_servers.clone(),
+        );
+        assert_eq!(
+            east.resolve(&name("west.h5.erin")),
+            Resolution::LocalAuthority,
+            "the foreign-region authority deposits instead of forwarding home"
+        );
+
+        let west = SyntaxResolver::new(
+            NodeId(5),
+            RegionId(1),
+            views[&NodeId(5)].clone(),
+            west_index,
+            region_servers,
+        );
+        match west.resolve(&name("west.h5.erin")) {
+            Resolution::RegionalAuthority(list) => assert_eq!(list.primary(), NodeId(0)),
+            other => panic!("unexpected {other:?}"),
+        }
     }
 
     #[test]
